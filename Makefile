@@ -45,8 +45,12 @@ fit:
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itch.rules
 	$(GO) run ./cmd/camusc fit -spec cmd/camusc/testdata/itch.spec -rules cmd/camusc/testdata/itchfeed.rules
 
+## vet: go vet, plus a gofmt gate — any unformatted Go file outside
+## testdata/ (analyzer fixtures keep their seeded layout) fails.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 ## lint: the Camus-specific static analyzers (internal/analysis) over
 ## the whole module, test files included.
@@ -89,14 +93,15 @@ bench-report:
 ## compiler benchmarks, the network-delivery verifier, the static
 ## fit analyzer, and the covering-heavy churn benchmark once and fail
 ## on a >2x allocs/op regression against the checked-in baseline
-## (perf-baseline.json). The single-worker leaf-cache fast path runs
-## 50 steady-state batches and is held to an exact zero-alloc baseline
-## plus ≥0.9x its recorded Mpps. BenchmarkCoverChurn also
+## (perf-baseline.json). The single-worker batch path runs 50
+## steady-state batches with the leaf cache on (workers=1) and off
+## (leaf=off); both are held to an exact zero-alloc baseline, and
+## workers=1 also to ≥0.9x its recorded Mpps. BenchmarkCoverChurn also
 ## self-enforces its ≥2× entry-reduction bar.
 perf-guard:
 	{ $(GO) test -run '^$$' -bench '^BenchmarkCompile500$$|^BenchmarkIncrementalAddOne$$' -benchtime 1x -benchmem ./internal/compiler; \
 	  $(GO) test -run '^$$' -bench '^BenchmarkNetcheck$$|^BenchmarkCoverChurn$$|^BenchmarkFitcheck$$' -benchtime 1x -benchmem .; \
-	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^workers=1$$' -benchtime 50x -benchmem .; } \
+	  $(GO) test -run '^$$' -bench '^BenchmarkSwitchFastPath$$/^(workers=1|leaf=off)$$' -benchtime 50x -benchmem .; } \
 		| $(GO) run ./cmd/benchjson -baseline perf-baseline.json -max-ratio 2
 
 ## churn-soak: race-enabled soak of the live control plane — churn +

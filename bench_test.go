@@ -166,15 +166,18 @@ func BenchmarkSwitchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSwitchFastPath — the zero-alloc leaf-cache batch path
-// (DESIGN.md §16) on the ITCH market-data workload: 100 symbol-equality
-// filters (key-only, so every leaf is admissible) over a Zipf-popular
-// synthetic feed. A warm-up batch fills the per-shard leaf cache before
-// the timer starts; the timed region must then report 0 allocs/op —
-// ProcessBatch resolves every packet from the packed-key cache without
-// walking the BDD stages and writes deliveries into the preallocated
-// per-shard arenas. perf-guard holds workers=1 to 0 allocs/op and
-// ≥0.9× the recorded Mpps.
+// BenchmarkSwitchFastPath — the zero-alloc batch path (DESIGN.md §16)
+// on the ITCH market-data workload: 100 symbol-equality filters
+// (key-only, so every leaf is admissible) over a Zipf-popular synthetic
+// feed. Warm-up batches fill the per-shard leaf cache and size the
+// delivery arenas before the timer starts; the timed region must then
+// report 0 allocs/op — every packet takes the one per-packet walk,
+// resolving its messages from the packed-key cache and writing
+// deliveries into the per-shard arenas. The workers=N sweep runs with
+// the leaf cache on; leaf=off is one worker walking the match stages
+// for every message, so workers=1 / leaf=off is what the cache buys.
+// perf-guard holds workers=1 to 0 allocs/op and ≥0.9× the recorded
+// Mpps, and leaf=off to 0 allocs/op.
 func BenchmarkSwitchFastPath(b *testing.B) {
 	p := subscription.NewParser(formats.ITCH)
 	syms := workload.DefaultSymbols(100)
@@ -211,15 +214,26 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	if last := sweep[len(sweep)-1]; last != maxW {
 		sweep = append(sweep, maxW)
 	}
-	for _, workers := range sweep {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sw, err := pipeline.NewSwitch("bench", nil, prog, pipeline.WithWorkers(workers))
+	type fastCase struct {
+		name string
+		opts []pipeline.Option
+	}
+	var cases []fastCase
+	for _, w := range sweep {
+		cases = append(cases, fastCase{fmt.Sprintf("workers=%d", w), []pipeline.Option{pipeline.WithWorkers(w)}})
+		if w == 1 {
+			cases = append(cases, fastCase{"leaf=off", []pipeline.Option{pipeline.WithWorkers(1), pipeline.WithLeafCache(-1)}})
+		}
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			sw, err := pipeline.NewSwitch("bench", nil, prog, c.opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
 			// Two warm-up batches: the first fills the leaf cache (and
-			// mostly runs the slow path), the second sizes the delivery
-			// arenas for the all-hits regime the timer measures.
+			// mostly misses it), the second sizes the delivery arenas
+			// for the steady state the timer measures.
 			sw.ProcessBatch(pkts, 0)
 			sw.ProcessBatch(pkts, 0)
 			b.ReportAllocs()
@@ -231,9 +245,8 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(b.N*len(pkts))/s/1e6, "Mpps")
 			}
-			st := sw.Stats()
-			if st.LeafHits == 0 {
-				b.Fatal("fast path never hit the leaf cache")
+			if lc := sw.LeafCacheStats(); lc.Enabled && lc.Hits == 0 {
+				b.Fatal("the leaf cache is on but never hit")
 			}
 		})
 	}

@@ -32,8 +32,8 @@ type Mutation struct {
 	Stage int `json:"stage,omitempty"`
 	Entry int `json:"entry,omitempty"`
 	// Leaf indexes into Program.Leaf.
-	Leaf int `json:"leaf,omitempty"`
-	Port int `json:"port,omitempty"`
+	Leaf int    `json:"leaf,omitempty"`
+	Port int    `json:"port,omitempty"`
 	Key  string `json:"key,omitempty"`
 	// Out is the redirect target state (redirect-entry) or the default's
 	// in-state (drop-default).

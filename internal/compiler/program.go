@@ -167,31 +167,8 @@ func (p *Program) TotalEntries() int {
 // pipeline runtime. It returns the leaf entry reached (nil for drop with
 // no leaf row).
 func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntry {
-	state := p.Init
-	for _, t := range p.Stages {
-		var v spec.Value
-		present := false
-		switch t.Field.Ref.Kind {
-		case subscription.PacketRef:
-			if idx, ok := m.Spec().SubscribableIndex(t.Field.Ref.Field); ok {
-				v, present = m.Get(idx)
-			}
-		case subscription.ValidityRef:
-			var bit int64
-			if m.HeaderPresent(t.Field.Ref.Header) {
-				bit = 1
-			}
-			v, present = spec.IntVal(bit), true
-		default: // AggregateRef
-			var cur int64
-			if st != nil {
-				cur = st.AggValue(t.Field.Ref.Key())
-			}
-			v, present = spec.IntVal(cur), true
-		}
-		state, _ = t.Next(state, v, present)
-	}
-	return p.leafByState[state]
+	le, _ := p.LookupKeyed(m, st, nil)
+	return le
 }
 
 // LookupKeyed evaluates the pipeline like Lookup while additionally
@@ -203,6 +180,7 @@ func (p *Program) Lookup(m *spec.Message, st subscription.StateReader) *LeafEntr
 // so two messages agreeing on every keyStage input follow identical
 // trajectories — a pure walk's leaf is a function of the key and may
 // be memoized without hiding any overlapping decision (DESIGN.md §16).
+// A nil keyStage marks no stage.
 func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyStage []bool) (*LeafEntry, bool) {
 	state := p.Init
 	pure := true
@@ -229,7 +207,7 @@ func (p *Program) LookupKeyed(m *spec.Message, st subscription.StateReader, keyS
 		}
 		var took bool
 		state, took = t.Next(state, v, present)
-		if took && !keyStage[i] {
+		if took && (i >= len(keyStage) || !keyStage[i]) {
 			pure = false
 		}
 	}

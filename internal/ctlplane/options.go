@@ -14,8 +14,7 @@ import (
 // style of camus.SwitchOption: the resulting configuration is frozen
 // into the Service (or Reconciler), so no caller can reach racy mutable
 // state after start. Construct services with New and synchronous
-// reconcilers with NewReconcilerWith; the Config struct and the
-// positional NewReconciler remain only as deprecated shims.
+// reconcilers with NewReconcilerWith.
 type Option func(*Config)
 
 // WithRouting selects the routing policy (MR/TR) and discretization α.

@@ -36,12 +36,9 @@ var ErrAdmissionRejected = errors.New("ctlplane: admission rejected: pipeline wo
 // retries.
 var ErrApplyFailed = errors.New("ctlplane: apply failed after retries")
 
-// Config configures a Service.
-//
-// Deprecated: construct services with New and functional Options
-// (WithRouting, WithDrift, WithQueueDepth, ...) instead of Config
-// literals; this struct remains exported for one release as the shim
-// behind NewService and as the Option target.
+// Config configures a Service. It is the Option target: construct
+// services with New and functional Options (WithRouting, WithDrift,
+// WithQueueDepth, ...), not Config literals.
 type Config struct {
 	Net  *topology.Network
 	Spec *spec.Spec
@@ -212,14 +209,8 @@ type Service struct {
 	admissionRejects atomic.Int64
 }
 
-// NewService builds the control plane and starts one apply worker per
-// switch. Close must be called to stop the workers.
-//
-// Deprecated: use New with functional options.
-func NewService(cfg Config) (*Service, error) { return newService(cfg) }
-
-// newService is the single construction path behind New and the
-// deprecated NewService shim.
+// newService builds the control plane from New's resolved Config and
+// starts one apply worker per switch.
 func newService(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	rec, err := newReconciler(cfg)

@@ -161,7 +161,9 @@ func (s *Service) Stats() Snapshot {
 	// satisfies the interface structurally; compile-only switches and
 	// foreign installers are skipped.
 	for _, ins := range s.cfg.Installers {
-		lc, ok := ins.(interface{ LeafCacheStats() pipeline.LeafCacheStats })
+		lc, ok := ins.(interface {
+			LeafCacheStats() pipeline.LeafCacheStats
+		})
 		if !ok {
 			continue
 		}

@@ -78,7 +78,7 @@ func TestConcurrentProcessInstall(t *testing.T) {
 	sp := spec.MustParse("itch", itchSpecSrc)
 	progA := compileRules(t, sp, "stock == GOOGL: fwd(1)")
 	progB := compileRules(t, sp, "stock == GOOGL: fwd(2)\nstock == MSFT: fwd(3)")
-	sw, err := New("s1", nil, progA, Config{Workers: 4, DropOnIngressPort: true})
+	sw, err := NewSwitch("s1", nil, progA, WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ price > 90: fwd(3)
 		})
 	}
 
-	ref, err := New("ref", nil, prog, DefaultConfig())
+	ref, err := NewSwitch("ref", nil, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

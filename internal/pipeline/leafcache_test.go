@@ -2,9 +2,12 @@ package pipeline
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"camus/internal/compiler"
 	"camus/internal/spec"
@@ -173,7 +176,7 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 	errs := make(chan string, 8)
 	// Concurrent publishers go through Process (heap-fresh results, the
 	// concurrent-publication API); they contend the shard lock against
-	// the batch goroutine below, exercising the TryLock fallbacks.
+	// the batch goroutine below.
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -192,7 +195,7 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 			}
 		}(g)
 	}
-	// One dedicated batch goroutine drives the fast path; per the reuse
+	// One dedicated batch goroutine drives the arena path; per the reuse
 	// contract it reads each batch's results before its own next call.
 	wg.Add(1)
 	go func() {
@@ -244,55 +247,250 @@ func TestLeafCacheChurnEpochConsistency(t *testing.T) {
 	}
 }
 
-// TestProcessBatchFastPathZeroAlloc pins the tentpole invariant: the
-// single-worker steady-state batch path allocates nothing per op.
+// TestProcessBatchFastPathZeroAlloc pins the single-walk invariant: a
+// warm single-worker ProcessBatch allocates nothing per op, with the
+// leaf cache on or off, and for packets that fit one parser pass as
+// well as packets deeper than the parse budget (4), which recirculate.
 func TestProcessBatchFastPathZeroAlloc(t *testing.T) {
-	sw, sp := buildSwitch(t, `
+	for _, tc := range []struct {
+		name string
+		leaf int // WithLeafCache size
+		msgs int // messages per packet
+	}{
+		{"leaf=on/single-pass", 0, 1},
+		{"leaf=on/recirculating", 0, 7},
+		{"leaf=off/single-pass", -1, 1},
+		{"leaf=off/recirculating", -1, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, sp := buildSwitch(t, `
 stock == GOOGL: fwd(1)
 stock == MSFT and price > 100: fwd(2)
 price > 500: fwd(3)
-`, compiler.Options{})
-	syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
-	pkts := make([]*Packet, 256)
-	for i := range pkts {
-		pkts[i] = &Packet{In: 0, Msgs: []*spec.Message{itchMsg(sp, syms[i%len(syms)], int64(50+i*7%1000), 10)}, Bytes: 64}
-	}
-	sw.ProcessBatch(pkts, 0) // warm arenas + cache
-	allocs := testing.AllocsPerRun(20, func() {
-		sw.ProcessBatch(pkts, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("fast path allocates %.1f allocs/op, want 0", allocs)
-	}
-	if st := sw.Stats(); st.LeafHits == 0 {
-		t.Fatalf("fast path never hit the cache: %+v", st)
+`, compiler.Options{}, WithLeafCache(tc.leaf))
+			syms := []string{"GOOGL", "MSFT", "AAPL", "INTC"}
+			pkts := make([]*Packet, 256)
+			for i := range pkts {
+				msgs := make([]*spec.Message, tc.msgs)
+				for j := range msgs {
+					k := i*tc.msgs + j
+					msgs[j] = itchMsg(sp, syms[k%len(syms)], int64(50+k*7%1000), 10)
+				}
+				pkts[i] = &Packet{In: 0, Msgs: msgs, Bytes: 64 * tc.msgs}
+			}
+			// Warm the cache, the port buckets and the arenas.
+			for i := 0; i < 3; i++ {
+				sw.ProcessBatch(pkts, 0)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				sw.ProcessBatch(pkts, 0)
+			})
+			if allocs != 0 {
+				t.Fatalf("ProcessBatch allocates %.1f allocs/op, want 0", allocs)
+			}
+			st := sw.Stats()
+			if tc.msgs > 4 && st.Recirculations == 0 {
+				t.Fatalf("deep packets never recirculated: %+v", st)
+			}
+			if hit := st.LeafHits > 0; hit != (tc.leaf >= 0) {
+				t.Fatalf("leaf hits = %d with WithLeafCache(%d)", st.LeafHits, tc.leaf)
+			}
+		})
 	}
 }
 
-// TestProcessBatchFastPathMatchesProcess cross-checks the fast path
-// against the always-slow Process path on a mixed workload.
+// refSwitch is the independent reference the dataplane walk is held to:
+// every message is evaluated alone by Program.Lookup (Eval's walk),
+// replicated to each port of its action set and pruned per port, with
+// ingress drop, recirculation latency, the stream decision table and
+// register updates modelled directly — no leaf cache, no shards, no
+// scratch buffers.
+type refSwitch struct {
+	prog   *compiler.Program
+	state  *StateTable
+	flows  map[FlowKey][]int
+	budget int
+	cfg    Config
+	custom CustomActionFunc
+}
+
+func (r *refSwitch) process(pkt *Packet, now time.Duration) []Delivery {
+	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
+		ports, ok := r.flows[pkt.Flow]
+		if !ok {
+			return nil
+		}
+		var out []Delivery
+		for _, p := range ports {
+			if p != pkt.In {
+				out = append(out, Delivery{Port: p, Latency: r.cfg.BaseLatency})
+			}
+		}
+		return out
+	}
+	passes := (len(pkt.Msgs) + r.budget - 1) / r.budget
+	if passes < 1 {
+		passes = 1
+	}
+	latency := r.cfg.BaseLatency + time.Duration(passes-1)*r.cfg.RecirculationLatency
+	byPort := make(map[int][]*spec.Message)
+	stream := make(map[int]bool)
+	var extra []Delivery
+	for _, m := range pkt.Msgs {
+		le := r.prog.Lookup(m, r.state.At(now))
+		if le == nil {
+			continue
+		}
+		for _, key := range le.Updates {
+			r.state.Update(key, m, now)
+		}
+		for _, p := range le.Actions.Ports {
+			stream[p] = true
+			if p != pkt.In {
+				byPort[p] = append(byPort[p], m)
+			}
+		}
+		for _, act := range le.Actions.Custom {
+			extra = append(extra, r.custom(act, m, pkt)...)
+		}
+	}
+	if pkt.Flow != 0 {
+		ports := []int{}
+		for p := range stream {
+			ports = append(ports, p)
+		}
+		sort.Ints(ports)
+		r.flows[pkt.Flow] = ports
+	}
+	ports := make([]int, 0, len(byPort))
+	for p := range byPort {
+		ports = append(ports, p)
+	}
+	sort.Ints(ports)
+	var out []Delivery
+	for _, p := range ports {
+		out = append(out, Delivery{Port: p, Msgs: byPort[p], Latency: latency})
+	}
+	return append(out, extra...)
+}
+
+// TestProcessBatchFastPathMatchesProcess holds ProcessBatch and Process
+// to the reference model, with the leaf cache on and off at 1 and 2
+// workers, over flow-less packets (single-pass and recirculating),
+// stream header and continuation packets, a stateful window and a
+// custom action. All messages touching the stateful register share
+// one flow, so they keep their order on one shard at any worker count.
 func TestProcessBatchFastPathMatchesProcess(t *testing.T) {
-	mk := func() *Switch {
-		sw, _ := buildSwitch(t, `
+	const rules = `
 stock == GOOGL: fwd(1)
 stock == MSFT and price > 100: fwd(2)
 price > 500: fwd(3)
 shares > 900: fwd(4)
-`, compiler.Options{})
-		return sw
+stock == STAT and avg(price, 100ms) > 60: fwd(5)
+stock == CUST: alert(9)
+`
+	const statFlow = FlowKey(0x5747)
+	alert := func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery {
+		return []Delivery{{Port: 100 + pkt.In, Msgs: []*spec.Message{m}}}
 	}
-	sw, ref := mk(), mk()
 	sp := spec.MustParse("itch", itchSpecSrc)
-	syms := []string{"GOOGL", "MSFT", "AAPL", "INTC", "TSLA"}
-	pkts := make([]*Packet, 300)
-	for i := range pkts {
-		pkts[i] = &Packet{In: i % 5, Msgs: []*spec.Message{itchMsg(sp, syms[i%len(syms)], int64(i * 13 % 1200), int64(i * 31 % 1000))}, Bytes: 80}
+	parsed, err := subscription.NewParser(sp).ParseRules(rules)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := sw.ProcessBatch(pkts, 0)
-	for i, p := range pkts {
-		want := ref.Process(p, 0)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("pkt %d: fast %+v != slow %+v", i, got[i], want)
+	prog, err := compiler.Compile(sp, parsed, compiler.Options{LastHop: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := compiler.GenerateStatic(sp, compiler.StaticOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	// Few distinct prices and share counts, so message keys repeat and
+	// the leaf cache serves hits.
+	msg := func(syms ...string) *spec.Message {
+		return itchMsg(sp, syms[rng.Intn(len(syms))], int64(50+300*rng.Intn(4)), int64(10+970*rng.Intn(2)))
+	}
+	msgs := func(max int, syms ...string) []*spec.Message {
+		out := make([]*spec.Message, 1+rng.Intn(max))
+		for i := range out {
+			out[i] = msg(syms...)
+		}
+		return out
+	}
+	plain := []string{"GOOGL", "MSFT", "AAPL", "INTC", "CUST"}
+	var batches [][]*Packet
+	for round := 0; round < 3; round++ {
+		var flowless, heads, conts, stateful []*Packet
+		for i := 0; i < 120; i++ {
+			flowless = append(flowless, &Packet{In: rng.Intn(6), Msgs: msgs(9, plain...), Bytes: 100})
+		}
+		for f := 1; f <= 40; f++ {
+			heads = append(heads, &Packet{In: rng.Intn(6), Flow: FlowKey(f), Msgs: msgs(6, plain...), Bytes: 100})
+		}
+		for f := 1; f <= 50; f++ { // flows 41-50 have no decision
+			conts = append(conts, &Packet{In: rng.Intn(6), Flow: FlowKey(f), Bytes: 1400})
+			conts = append(conts, &Packet{In: rng.Intn(6), Msgs: msgs(2, plain...), Bytes: 100})
+		}
+		for i := 0; i < 30; i++ {
+			stateful = append(stateful, &Packet{In: rng.Intn(6), Flow: statFlow, Msgs: msgs(3, "STAT", "GOOGL"), Bytes: 100})
+			stateful = append(stateful, &Packet{In: rng.Intn(6), Msgs: msgs(5, plain...), Bytes: 100})
+		}
+		batches = append(batches, flowless, heads, conts, stateful)
+	}
+
+	for _, leaf := range []int{0, -1} {
+		for _, workers := range []int{1, 2} {
+			for _, api := range []string{"batch", "process"} {
+				name := fmt.Sprintf("leaf=%d/workers=%d/%s", leaf, workers, api)
+				t.Run(name, func(t *testing.T) {
+					sw, err := NewSwitch("s1", static, prog, WithLeafCache(leaf), WithWorkers(workers))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sw.HandleCustom("alert", alert)
+					ref := &refSwitch{prog: prog, state: NewStateTable(prog), flows: make(map[FlowKey][]int),
+						budget: static.MaxParsedMessages, cfg: sw.Config(), custom: alert}
+					now := time.Duration(0)
+					seen := make(map[int]bool) // egress ports delivered to
+					for b, pkts := range batches {
+						now += 30 * time.Millisecond
+						var got [][]Delivery
+						if api == "batch" {
+							got = sw.ProcessBatch(pkts, now)
+						} else {
+							for _, p := range pkts {
+								got = append(got, sw.Process(p, now))
+							}
+						}
+						for i, p := range pkts {
+							want := ref.process(p, now)
+							if len(want) == 0 && len(got[i]) == 0 {
+								continue
+							}
+							if !reflect.DeepEqual(got[i], want) {
+								t.Fatalf("batch %d pkt %d: got %+v, want %+v", b, i, got[i], want)
+							}
+							for _, d := range want {
+								seen[d.Port] = true
+							}
+						}
+					}
+					st := sw.Stats()
+					if st.Recirculations == 0 || st.FlowHits == 0 || st.FlowMisses == 0 || st.StateUpdates == 0 {
+						t.Fatalf("workload missed a path: %+v", st)
+					}
+					for _, port := range []int{1, 2, 3, 4, 5, 100} {
+						if !seen[port] {
+							t.Fatalf("no delivery to port %d (ports seen %v)", port, seen)
+						}
+					}
+					if (st.LeafHits > 0) != (leaf == 0) {
+						t.Fatalf("leaf hits = %d with WithLeafCache(%d)", st.LeafHits, leaf)
+					}
+				})
+			}
 		}
 	}
 }

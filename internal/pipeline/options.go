@@ -46,7 +46,7 @@ func WithWorkers(n int) Option {
 // the total entry capacity, split across worker shards and rounded up
 // to a power of two per shard. The cache memoizes final forwarding
 // decisions for the hot packet keys under the fill-time purity rule,
-// so the steady-state batch path never walks the match stages. size 0
+// so their messages skip the match-stage walk. size 0
 // keeps the default (65536 entries, the cache is on by default);
 // negative disables the cache.
 func WithLeafCache(size int) Option {

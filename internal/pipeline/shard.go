@@ -4,7 +4,9 @@ import (
 	"sync"
 	"time"
 
+	"camus/internal/compiler"
 	"camus/internal/spec"
+	"camus/internal/subscription"
 )
 
 // shard is one worker's private slice of the dataplane: a flow-cache
@@ -12,29 +14,26 @@ import (
 // hot-path workspaces. Sharding follows the cache-aware per-core
 // partitioning pattern from software packet-forwarding literature:
 // each worker touches only its own mutable state on the hot path, so
-// workers never contend on the caches, and the stats atomics are
-// uncontended in the batch path.
+// workers never contend on the caches.
 //
 // Shards are individually heap-allocated (the Switch holds pointers),
 // so two shards' counters never share a cache line.
 type shard struct {
-	stats switchStats
-
-	// mu guards flows, leaf, scr, and the batch arenas. Per-shard
-	// rather than per-switch: in the batch path exactly one worker owns
-	// the shard and the lock is uncontended; it exists so that direct
-	// Process calls from arbitrary goroutines that hash onto the same
-	// shard stay correct.
+	// mu guards every field below. Per-shard rather than per-switch: in
+	// the batch path exactly one worker owns the shard and the lock is
+	// uncontended; it exists so that direct Process calls from
+	// arbitrary goroutines that hash onto the same shard stay correct.
 	mu    sync.Mutex
+	stats StatsSnapshot
 	flows *flowCache
 	leaf  *leafCache // nil when the leaf cache is disabled
 	scr   procScratch
 
-	// Fast-path output arenas, reset at the start of each batch run on
-	// this shard. Handed-out delivery slices stay valid until the next
-	// ProcessBatch call on the switch (growth abandons the old chunk to
-	// the slices already pointing into it, so it never invalidates
-	// results mid-batch).
+	// ProcessBatch output arenas, reset at the start of each batch run
+	// on this shard. Handed-out delivery slices stay valid until the
+	// next ProcessBatch call on the switch (growth abandons the old
+	// chunk to the slices already pointing into it, so it never
+	// invalidates results mid-batch).
 	delArena arena[Delivery]
 	msgArena arena[*spec.Message]
 }
@@ -115,26 +114,6 @@ func (a *arena[T]) alloc(n int) []T {
 	return s
 }
 
-// localStats accumulates one batch run's counters on the stack; they
-// commit to the shard atomics once per run instead of per message.
-type localStats struct {
-	packets, messages, matched, deliveries int64
-	bytesIn, bytesOut                      int64
-	leafHits, leafMisses, leafFills        int64
-}
-
-func (ls *localStats) commit(st *switchStats) {
-	st.packets.Add(ls.packets)
-	st.messages.Add(ls.messages)
-	st.matched.Add(ls.matched)
-	st.deliveries.Add(ls.deliveries)
-	st.bytesIn.Add(ls.bytesIn)
-	st.bytesOut.Add(ls.bytesOut)
-	st.leafHits.Add(ls.leafHits)
-	st.leafMisses.Add(ls.leafMisses)
-	st.leafFills.Add(ls.leafFills)
-}
-
 // shardIndex maps a flow to its home shard. The mapping is pure, so a
 // stream's continuation packets always land on the shard holding its
 // cached decision, no matter which goroutine or batch carries them.
@@ -177,19 +156,19 @@ type batchScratch struct {
 // Packets are partitioned across the switch's worker shards: packets
 // with a flow identity go to the flow's home shard (preserving
 // per-stream ordering and cache locality), flow-less packets are spread
-// round-robin. Each worker processes its share in input order, taking
-// the zero-alloc leaf-cache fast path for flow-less single-pass
-// packets and falling back to the Process slow path for everything
-// else; per-packet results are identical to calling Process.
+// round-robin. Each worker runs its share in input order through the
+// same per-packet walk as Process, so per-packet results are identical
+// to calling Process; only the output memory differs. Once the shard
+// arenas have grown to the working set, a batch without stream
+// (flow-keyed) header packets or custom actions allocates nothing.
 //
-// Reuse contract: the returned slice and the deliveries of fast-path
-// packets live in per-switch buffers that are recycled by the *next*
-// ProcessBatch call from any goroutine — results are valid until then.
-// Concurrent ProcessBatch calls are safe (internal state is locked, and
-// contended calls fall back to private buffers), but a caller that must
-// read results while other goroutines may batch on the same switch
-// should copy them first or publish via Process, whose results are
-// always heap-fresh.
+// Reuse contract: the returned slice and the deliveries live in
+// per-switch buffers that are recycled by the *next* ProcessBatch call
+// from any goroutine — results are valid until then. Concurrent
+// ProcessBatch calls are safe (internal state is locked), but a caller
+// that must read results while other goroutines may batch on the same
+// switch should copy them first or publish via Process, whose results
+// are always heap-fresh.
 func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 	bs := &s.batch
 	var out [][]Delivery
@@ -206,14 +185,11 @@ func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 	} else {
 		out = make([][]Delivery, len(pkts))
 	}
-	if len(s.shards) == 1 {
-		s.runShard(s.shards[0], pkts, nil, out, now)
+	switch {
+	case len(pkts) == 0:
 		return out
-	}
-	if len(pkts) < 2 {
-		for i, p := range pkts {
-			out[i] = s.processOn(s.shards[s.shardIndex(p.Flow)], p, now)
-		}
+	case len(s.shards) == 1 || len(pkts) == 1:
+		s.runShard(s.shards[s.shardIndex(pkts[0].Flow)], pkts, nil, out, now, false)
 		return out
 	}
 	w := len(s.shards)
@@ -254,144 +230,225 @@ func (s *Switch) ProcessBatch(pkts []*Packet, now time.Duration) [][]Delivery {
 		// including the single-shard path that never reaches this loop.
 		go func(sh *shard, idxs []int32, pkts []*Packet, out [][]Delivery) {
 			defer wg.Done()
-			s.runShard(sh, pkts, idxs, out, now)
+			s.runShard(sh, pkts, idxs, out, now, false)
 		}(s.shards[sh], assign[sh], pkts, out)
 	}
 	wg.Wait()
 	return out
 }
 
-// runShard executes one shard's share of a batch. idxs selects the
-// packets (nil = the whole batch, single-shard case). The fast path
-// requires a leaf-cacheable stateless program (epoch fastOK) and an
-// uncontended shard; otherwise every packet takes the slow path.
-func (s *Switch) runShard(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration) {
+// runShard walks one shard's share of a call: the packets pkts[idxs]
+// (idxs nil = all of pkts), writing each packet's deliveries to out at
+// the packet's index. The whole share runs under the shard lock
+// against one epoch; stats commit once, and custom actions run after
+// the unlock. fresh selects heap-fresh output (Process) over the shard
+// arenas (ProcessBatch).
+func (s *Switch) runShard(sh *shard, pkts []*Packet, idxs []int32, out [][]Delivery, now time.Duration, fresh bool) {
+	sh.mu.Lock()
 	ep := s.epoch.Load()
-	fast := ep.leaf != nil && ep.leaf.fastOK && sh.leaf != nil && sh.mu.TryLock()
-	if !fast {
-		if idxs == nil {
-			for i, p := range pkts {
-				out[i] = s.processOn(sh, p, now)
-			}
-			return
+	w := walk{s: s, sh: sh, ep: ep, rd: ep.state.reader(now), now: now, fresh: fresh}
+	if !fresh {
+		sh.delArena.reset()
+		sh.msgArena.reset()
+	}
+	if idxs == nil {
+		for i, p := range pkts {
+			out[i] = w.packet(p, i)
 		}
+	} else {
 		for _, i := range idxs {
-			out[i] = s.processOn(sh, pkts[i], now)
+			out[i] = w.packet(pkts[i], int(i))
 		}
-		return
 	}
-	passBudget := 1 << 30
-	if s.static != nil && s.static.MaxParsedMessages > 0 {
-		passBudget = s.static.MaxParsedMessages
-	}
-	var ls localStats
-	// bail collects packets the fast path cannot serve; they re-run on
-	// the slow path after the shard lock is released. Call-local (not
-	// shard state): it is consumed after the unlock, where shard fields
-	// would race with the next batch's reset. Bailing implies the
-	// allocating slow path anyway, so the lazy append costs nothing in
-	// the all-fast steady state.
-	var bail []int32
-	sh.delArena.reset()
-	sh.msgArena.reset()
-	n := len(pkts)
-	if idxs != nil {
-		n = len(idxs)
-	}
-	for j := 0; j < n; j++ {
-		i := j
-		if idxs != nil {
-			i = int(idxs[j])
-		}
-		p := pkts[i]
-		// Stream packets (flow state), empty packets, and batches
-		// needing recirculation re-run on the slow path.
-		if p.Flow != 0 || len(p.Msgs) == 0 || len(p.Msgs) > passBudget {
-			bail = append(bail, int32(i))
-			continue
-		}
-		d, ok := s.fastOne(sh, ep, p, &ls)
-		if !ok {
-			bail = append(bail, int32(i))
-			continue
-		}
-		out[i] = d
-	}
-	ls.commit(&sh.stats)
+	sh.stats = sh.stats.add(w.st)
 	sh.mu.Unlock()
-	// Bailed packets run after the lock is released: processOn takes
-	// the shard lock itself (flow install, scratch ownership).
-	for _, i := range bail {
-		out[i] = s.processOn(sh, pkts[i], now)
+	// Custom actions run outside the shard lock: handlers are user code
+	// and may re-enter the switch.
+	for _, c := range w.customs {
+		fn, ok := s.customs[c.act.Name]
+		if !ok {
+			continue
+		}
+		extra := fn(c.act, c.m, pkts[c.pkt])
+		out[c.pkt] = append(out[c.pkt], extra...)
+		sh.mu.Lock()
+		sh.stats.Deliveries += int64(len(extra))
+		sh.mu.Unlock()
 	}
 }
 
-// fastOne runs one flow-less single-pass packet against the leaf cache
-// with zero allocations. Caller holds sh.mu. ok=false means the packet
-// needs the slow path (stateful or custom-action leaf); any partial
-// stats are rolled back and the arenas are untouched (deliveries are
-// emitted only after the whole packet qualifies).
-func (s *Switch) fastOne(sh *shard, ep *epoch, pkt *Packet, ls *localStats) ([]Delivery, bool) {
-	save := *ls
-	ls.packets++
-	ls.bytesIn += int64(pkt.Bytes)
-	scr := &sh.scr
-	scr.reset()
-	for _, m := range pkt.Msgs {
-		ls.messages++
-		buildLeafKey(ep.leaf, m, &scr.key)
-		if e := sh.leaf.probe(&scr.key, ep.gen); e != nil {
-			ls.leafHits++
-			if e.nports > 0 {
-				ls.matched++
-				for _, port := range e.ports[:e.nports] {
-					p := int(port)
-					if s.cfg.DropOnIngressPort && p == pkt.In {
-						continue
-					}
-					scr.add(p, m)
-				}
-			}
-			continue
+// walk is one locked runShard call: the epoch and state view every
+// packet of the call runs against, and what the call accumulates — its
+// stats and the custom actions to run after the unlock.
+type walk struct {
+	s     *Switch
+	sh    *shard
+	ep    *epoch
+	rd    subscription.StateReader
+	now   time.Duration
+	fresh bool
+
+	st      StatsSnapshot
+	customs []customHit
+}
+
+// customHit defers a matched custom action until the shard lock is
+// released; pkt is the packet's index in the call.
+type customHit struct {
+	pkt int
+	act subscription.Action
+	m   *spec.Message
+}
+
+// packet runs one packet through the pipeline (§VI): the ingress pass
+// evaluates each message — leaf-cache probe and fill when the cache
+// serves the epoch, a plain stage walk otherwise — and buckets it by
+// egress port; the crossbar then emits one pruned replica per port.
+// Packets deeper than the parse budget recirculate, adding latency.
+// Stream continuations (no messages, Flow set) forward on the decision
+// their header packet cached (§VII-B).
+func (w *walk) packet(pkt *Packet, i int) []Delivery {
+	s, sh, ep := w.s, w.sh, w.ep
+	w.st.Packets++
+	w.st.BytesIn += int64(pkt.Bytes)
+
+	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
+		acts, ok := sh.flows.lookup(pkt.Flow, w.now, ep.gen)
+		if !ok {
+			w.st.FlowMisses++
+			return nil
 		}
-		ls.leafMisses++
-		// fastOK epochs have no aggregate stages, so the walk needs no
-		// state reader.
-		le, pure := ep.prog.LookupKeyed(m, nil, ep.leaf.keyStage)
-		if le != nil && (len(le.Updates) > 0 || len(le.Actions.Custom) > 0) {
-			*ls = save
-			return nil, false
-		}
-		if pure && (le == nil || len(le.Actions.Ports) <= LeafMaxPorts) {
-			if le == nil {
-				sh.leaf.fill(&scr.key, ep.gen, nil)
-			} else {
-				sh.leaf.fill(&scr.key, ep.gen, le.Actions.Ports)
-			}
-			ls.leafFills++
-		}
-		if le == nil || le.Actions.IsEmpty() {
-			continue
-		}
-		ls.matched++
-		for _, port := range le.Actions.Ports {
+		w.st.FlowHits++
+		out, _ := w.alloc(len(acts.Ports), 0)
+		out = out[:0]
+		for _, port := range acts.Ports {
 			if s.cfg.DropOnIngressPort && port == pkt.In {
 				continue
 			}
-			scr.add(port, m)
+			out = append(out, Delivery{Port: port, Latency: s.cfg.BaseLatency})
+			w.st.BytesOut += int64(pkt.Bytes)
+		}
+		w.st.Deliveries += int64(len(out))
+		return out
+	}
+
+	passes := 1
+	if s.static != nil {
+		if budget := s.static.MaxParsedMessages; budget > 0 && len(pkt.Msgs) > budget {
+			passes += (len(pkt.Msgs) - 1) / budget
+			w.st.Recirculations += int64(passes - 1)
 		}
 	}
+	latency := s.cfg.BaseLatency + time.Duration(passes-1)*s.cfg.RecirculationLatency
+
+	scr := &sh.scr
+	scr.reset()
+	useLeaf := sh.leaf != nil && ep.leaf != nil
+	var flowPorts subscription.ActionSet
+	for _, m := range pkt.Msgs {
+		w.st.Messages++
+		var le *compiler.LeafEntry
+		if useLeaf {
+			buildLeafKey(ep.leaf, m, &scr.key)
+			if e := sh.leaf.probe(&scr.key, ep.gen); e != nil {
+				// Cache hit: admissible entries are stateless by
+				// construction, so forwarding is the whole effect.
+				w.st.LeafHits++
+				if e.nports > 0 {
+					w.st.Matched++
+					for _, port := range e.ports[:e.nports] {
+						w.forward(pkt, int(port), m, &flowPorts)
+					}
+				}
+				continue
+			}
+			w.st.LeafMisses++
+			var pure bool
+			le, pure = ep.prog.LookupKeyed(m, w.rd, ep.leaf.keyStage)
+			// The FIB cache-fill rule: memoize only outcomes that are a
+			// pure function of the cache key (walk purity) and whose
+			// action sets are stateless — a cached leaf then subsumes
+			// every decision reachable from its key, so no overlapping
+			// higher-priority outcome can be hidden (DESIGN.md §16).
+			if pure && (le == nil || leafAdmissible(le)) {
+				var ports []int
+				if le != nil {
+					ports = le.Actions.Ports
+				}
+				sh.leaf.fill(&scr.key, ep.gen, ports)
+				w.st.LeafFills++
+			}
+		} else {
+			le = ep.prog.Lookup(m, w.rd)
+		}
+		if le == nil {
+			continue
+		}
+		// State updates fire for every message whose stateless context
+		// matched, before forwarding semantics are applied.
+		for _, key := range le.Updates {
+			ep.state.Update(key, m, w.now)
+			w.st.StateUpdates++
+		}
+		if le.Actions.IsEmpty() {
+			continue
+		}
+		w.st.Matched++
+		for _, port := range le.Actions.Ports {
+			w.forward(pkt, port, m, &flowPorts)
+		}
+		for _, act := range le.Actions.Custom {
+			w.customs = append(w.customs, customHit{pkt: i, act: act, m: m})
+		}
+	}
+
+	// Stream subscriptions: the header-bearing packet installs the
+	// stream's merged port decision for its continuations (§VII-B),
+	// tagged with the epoch it was compiled under.
+	if pkt.Flow != 0 {
+		sh.flows.install(pkt.Flow, flowPorts, w.now, ep.gen)
+	}
+
+	// Crossbar + egress: one pruned replica per port, deterministic
+	// port order, message slices carved from one block.
 	scr.sort()
-	out := sh.delArena.alloc(scr.n)
-	for i := 0; i < scr.n; i++ {
-		b := &scr.buckets[i]
-		msgs := sh.msgArena.alloc(len(b.msgs))
-		copy(msgs, b.msgs)
-		out[i] = Delivery{Port: b.port, Msgs: msgs, Latency: s.cfg.BaseLatency}
-		if len(pkt.Msgs) > 0 {
-			ls.bytesOut += int64(pkt.Bytes * len(b.msgs) / len(pkt.Msgs))
-		}
+	total := 0
+	for _, b := range scr.buckets[:scr.n] {
+		total += len(b.msgs)
 	}
-	ls.deliveries += int64(scr.n)
-	return out, true
+	out, flat := w.alloc(scr.n, total)
+	for k, b := range scr.buckets[:scr.n] {
+		msgs := flat[:len(b.msgs):len(b.msgs)]
+		flat = flat[len(b.msgs):]
+		copy(msgs, b.msgs)
+		out[k] = Delivery{Port: b.port, Msgs: msgs, Latency: latency}
+		// Pruned replica bytes scale with the surviving message share.
+		w.st.BytesOut += int64(pkt.Bytes * len(b.msgs) / len(pkt.Msgs))
+	}
+	w.st.Deliveries += int64(scr.n)
+	return out
+}
+
+// forward sends m to port: into the stream decision when the packet
+// has a flow (the cached decision keeps the full port set; ingress
+// suppression re-applies per continuation packet), and into port's
+// replica unless it is the ingress port.
+func (w *walk) forward(pkt *Packet, port int, m *spec.Message, flowPorts *subscription.ActionSet) {
+	if pkt.Flow != 0 {
+		flowPorts.Add(subscription.FwdAction(port))
+	}
+	if w.s.cfg.DropOnIngressPort && port == pkt.In {
+		return
+	}
+	w.sh.scr.add(port, m)
+}
+
+// alloc returns output memory for n deliveries carrying msgs messages
+// in total: heap-fresh for Process, carved from the shard arenas for
+// ProcessBatch.
+func (w *walk) alloc(n, msgs int) ([]Delivery, []*spec.Message) {
+	if w.fresh {
+		return make([]Delivery, n), make([]*spec.Message, msgs)
+	}
+	return w.sh.delArena.alloc(n), w.sh.msgArena.alloc(msgs)
 }

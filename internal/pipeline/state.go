@@ -123,6 +123,16 @@ func (st *StateTable) At(now time.Duration) subscription.StateReader {
 	return stateAt{t: st, now: now}
 }
 
+// reader is At for the packet path, or nil when the program has no
+// aggregates: a stateless walk reads no registers, and skipping the
+// reader saves its interface allocation.
+func (st *StateTable) reader(now time.Duration) subscription.StateReader {
+	if len(st.regs) == 0 {
+		return nil
+	}
+	return st.At(now)
+}
+
 type stateAt struct {
 	t   *StateTable
 	now time.Duration

@@ -1,10 +1,9 @@
 package pipeline
 
-import "sync/atomic"
-
 // StatsSnapshot is an immutable copy of the dataplane counters,
 // aggregated across all worker shards at read time. Obtain one via
-// Switch.Stats(); the zero value is an empty snapshot.
+// Switch.Stats(); the zero value is an empty snapshot. Each shard
+// keeps its own counters in one, guarded by the shard lock.
 type StatsSnapshot struct {
 	Packets        int64 // packets processed
 	Messages       int64 // messages evaluated
@@ -39,62 +38,4 @@ func (a StatsSnapshot) add(b StatsSnapshot) StatsSnapshot {
 	a.BytesIn += b.BytesIn
 	a.BytesOut += b.BytesOut
 	return a
-}
-
-// switchStats is one shard's private counter block. Counters are
-// atomics so that direct Process calls from arbitrary goroutines that
-// collapse onto the same shard (e.g. flow-less packets on shard 0)
-// remain race-free; in the steady ProcessBatch path each shard is
-// written by exactly one worker, so the atomics are uncontended.
-type switchStats struct {
-	packets        atomic.Int64
-	messages       atomic.Int64
-	matched        atomic.Int64
-	deliveries     atomic.Int64
-	recirculations atomic.Int64
-	stateUpdates   atomic.Int64
-	flowHits       atomic.Int64
-	flowMisses     atomic.Int64
-	leafHits       atomic.Int64
-	leafMisses     atomic.Int64
-	leafFills      atomic.Int64
-	parseErrors    atomic.Int64
-	bytesIn        atomic.Int64
-	bytesOut       atomic.Int64
-}
-
-func (st *switchStats) snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Packets:        st.packets.Load(),
-		Messages:       st.messages.Load(),
-		Matched:        st.matched.Load(),
-		Deliveries:     st.deliveries.Load(),
-		Recirculations: st.recirculations.Load(),
-		StateUpdates:   st.stateUpdates.Load(),
-		FlowHits:       st.flowHits.Load(),
-		FlowMisses:     st.flowMisses.Load(),
-		LeafHits:       st.leafHits.Load(),
-		LeafMisses:     st.leafMisses.Load(),
-		LeafFills:      st.leafFills.Load(),
-		ParseErrors:    st.parseErrors.Load(),
-		BytesIn:        st.bytesIn.Load(),
-		BytesOut:       st.bytesOut.Load(),
-	}
-}
-
-func (st *switchStats) reset() {
-	st.packets.Store(0)
-	st.messages.Store(0)
-	st.matched.Store(0)
-	st.deliveries.Store(0)
-	st.recirculations.Store(0)
-	st.stateUpdates.Store(0)
-	st.flowHits.Store(0)
-	st.flowMisses.Store(0)
-	st.leafHits.Store(0)
-	st.leafMisses.Store(0)
-	st.leafFills.Store(0)
-	st.parseErrors.Store(0)
-	st.bytesIn.Store(0)
-	st.bytesOut.Store(0)
 }

@@ -48,9 +48,8 @@ type Delivery struct {
 // concurrent invocation when the switch runs more than one worker.
 type CustomActionFunc func(act subscription.Action, m *spec.Message, pkt *Packet) []Delivery
 
-// Config tunes the switch model. Construct it via DefaultConfig plus
-// Options (see NewSwitch); direct literal construction is deprecated
-// and kept only for internal migration.
+// Config tunes the switch model: DefaultConfig plus the Options passed
+// to NewSwitch, frozen into the switch at construction.
 type Config struct {
 	// BaseLatency is the one-pass pipeline transit time. The paper
 	// reports pipeline latency under 1µs (§VIII-F1).
@@ -116,9 +115,6 @@ type leafMeta struct {
 	nslots int
 	// admissible counts leaf rows whose outcomes are cacheable.
 	admissible int
-	// fastOK reports that the program has no aggregate stages, so the
-	// zero-alloc batch path may run messages without a state reader.
-	fastOK bool
 }
 
 // newEpoch assembles an epoch, precomputing the leaf-cache metadata.
@@ -149,18 +145,14 @@ func buildLeafMeta(prog *compiler.Program) *leafMeta {
 		isKey[f] = true
 	}
 	lm.keyStage = make([]bool, len(prog.Stages))
-	hasAgg := false
 	for i, t := range prog.Stages {
 		switch t.Field.Ref.Kind {
 		case subscription.PacketRef:
 			lm.keyStage[i] = isKey[t.Field.Ref.Field]
 		case subscription.ValidityRef:
 			lm.keyStage[i] = true
-		default: // AggregateRef
-			hasAgg = true
 		}
 	}
-	lm.fastOK = !hasAgg
 	for _, le := range prog.Leaf {
 		if leafAdmissible(le) {
 			lm.admissible++
@@ -207,17 +199,21 @@ type Switch struct {
 	batch batchScratch
 }
 
-// New builds a switch from a static pipeline and a compiled program.
-// Deprecated-style entry point retained for internal callers still
-// holding a Config; new code should use NewSwitch with Options.
-func New(id string, static *compiler.StaticPipeline, prog *compiler.Program, cfg Config) (*Switch, error) {
+// NewSwitch builds a switch from a static pipeline (nil for none) and a
+// compiled program, configured by DefaultConfig plus functional
+// options — the one supported way to configure a dataplane.
+func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
 	if prog == nil {
-		return nil, fmt.Errorf("pipeline: New: nil program")
+		return nil, fmt.Errorf("pipeline: NewSwitch: nil program")
 	}
 	if static != nil {
 		if err := static.Validate(prog); err != nil {
 			return nil, err
 		}
+	}
+	cfg := DefaultConfig()
+	for _, fn := range opts {
+		fn(&cfg)
 	}
 	cfg = cfg.normalize()
 	s := &Switch{
@@ -243,16 +239,6 @@ func New(id string, static *compiler.StaticPipeline, prog *compiler.Program, cfg
 	return s, nil
 }
 
-// NewSwitch builds a switch from DefaultConfig plus functional options
-// — the one supported way to configure a dataplane.
-func NewSwitch(id string, static *compiler.StaticPipeline, prog *compiler.Program, opts ...Option) (*Switch, error) {
-	cfg := DefaultConfig()
-	for _, fn := range opts {
-		fn(&cfg)
-	}
-	return New(id, static, prog, cfg)
-}
-
 // Config returns a copy of the switch's frozen configuration.
 func (s *Switch) Config() Config { return s.cfg }
 
@@ -270,7 +256,9 @@ func (s *Switch) State() *StateTable { return s.epoch.Load().state }
 func (s *Switch) Stats() StatsSnapshot {
 	var t StatsSnapshot
 	for _, sh := range s.shards {
-		t = t.add(sh.stats.snapshot())
+		sh.mu.Lock()
+		t = t.add(sh.stats)
+		sh.mu.Unlock()
 	}
 	return t
 }
@@ -278,7 +266,9 @@ func (s *Switch) Stats() StatsSnapshot {
 // ResetStats zeroes every shard's counters.
 func (s *Switch) ResetStats() {
 	for _, sh := range s.shards {
-		sh.stats.reset()
+		sh.mu.Lock()
+		sh.stats = StatsSnapshot{}
+		sh.mu.Unlock()
 	}
 }
 
@@ -328,9 +318,11 @@ func (s *Switch) LeafCacheStats() LeafCacheStats {
 		if sh.leaf != nil {
 			out.Capacity += len(sh.leaf.entries)
 		}
-		out.Hits += sh.stats.leafHits.Load()
-		out.Misses += sh.stats.leafMisses.Load()
-		out.Fills += sh.stats.leafFills.Load()
+		sh.mu.Lock()
+		out.Hits += sh.stats.LeafHits
+		out.Misses += sh.stats.LeafMisses
+		out.Fills += sh.stats.LeafFills
+		sh.mu.Unlock()
 	}
 	out.Enabled = out.Capacity > 0 && ep.leaf != nil
 	if ep.leaf != nil {
@@ -348,200 +340,13 @@ func (s *Switch) HandleCustom(name string, fn CustomActionFunc) {
 // Process runs a packet through the pipeline at virtual time now and
 // returns the egress deliveries. Safe for concurrent use; the packet is
 // executed on the shard its flow hashes to (flow-less packets use
-// shard 0 — use ProcessBatch to spread those across workers).
-//
-// Per §VI: the ingress pass evaluates each message and builds a port
-// mask; the crossbar replicates the packet once per egress port; egress
-// prunes each replica to the messages whose mask includes the port.
-// Batches deeper than the static pipeline's parse budget recirculate,
-// adding latency.
+// shard 0 — use ProcessBatch to spread those across workers). It runs
+// the same per-packet walk as ProcessBatch (see walk.packet), but the
+// returned deliveries are heap-fresh: callers may keep them.
 func (s *Switch) Process(pkt *Packet, now time.Duration) []Delivery {
-	return s.processOn(s.shards[s.shardIndex(pkt.Flow)], pkt, now)
-}
-
-// processOn executes one packet on one shard against the current epoch.
-func (s *Switch) processOn(sh *shard, pkt *Packet, now time.Duration) []Delivery {
-	ep := s.epoch.Load()
-	st := &sh.stats
-	st.packets.Add(1)
-	st.bytesIn.Add(int64(pkt.Bytes))
-
-	// Stream continuation: no application header, forward per the
-	// decision cached by the stream's first packet (§VII-B).
-	if len(pkt.Msgs) == 0 && pkt.Flow != 0 {
-		sh.mu.Lock()
-		acts, ok := sh.flows.lookup(pkt.Flow, now, ep.gen)
-		sh.mu.Unlock()
-		if !ok {
-			st.flowMisses.Add(1)
-			return nil
-		}
-		st.flowHits.Add(1)
-		out := make([]Delivery, 0, len(acts.Ports))
-		for _, port := range acts.Ports {
-			if s.cfg.DropOnIngressPort && port == pkt.In {
-				continue
-			}
-			out = append(out, Delivery{Port: port, Latency: s.cfg.BaseLatency})
-			st.bytesOut.Add(int64(pkt.Bytes))
-		}
-		st.deliveries.Add(int64(len(out)))
-		return out
-	}
-
-	passBudget := len(pkt.Msgs)
-	if s.static != nil && s.static.MaxParsedMessages > 0 {
-		passBudget = s.static.MaxParsedMessages
-	}
-	passes := 1
-	if len(pkt.Msgs) > passBudget {
-		passes += (len(pkt.Msgs) - 1) / passBudget
-		st.recirculations.Add(int64(passes - 1))
-	}
-	latency := s.cfg.BaseLatency + time.Duration(passes-1)*s.cfg.RecirculationLatency
-
-	// Ingress workspace: the shard's reusable scratch replaces the
-	// historical per-packet map allocation. TryLock keeps arbitrary
-	// goroutines that collapse onto one shard from serializing — a
-	// contended call falls back to a fresh private scratch (and skips
-	// the leaf cache, which only the lock holder may touch).
-	locked := sh.mu.TryLock()
-	scr := &sh.scr
-	if !locked {
-		scr = &procScratch{}
-	}
-	scr.reset()
-	useLeaf := locked && sh.leaf != nil && ep.leaf != nil
-
-	var flowPorts subscription.ActionSet
-	var customs []customHit
-	for _, m := range pkt.Msgs {
-		st.messages.Add(1)
-		var le *compiler.LeafEntry
-		pure := false
-		if useLeaf {
-			buildLeafKey(ep.leaf, m, &scr.key)
-			if e := sh.leaf.probe(&scr.key, ep.gen); e != nil {
-				// Cache hit: admissible entries are stateless by
-				// construction, so forwarding is the whole effect.
-				st.leafHits.Add(1)
-				if e.nports > 0 {
-					st.matched.Add(1)
-					for _, port := range e.ports[:e.nports] {
-						p := int(port)
-						if pkt.Flow != 0 {
-							flowPorts.Add(subscription.FwdAction(p))
-						}
-						if s.cfg.DropOnIngressPort && p == pkt.In {
-							continue
-						}
-						scr.add(p, m)
-					}
-				}
-				continue
-			}
-			st.leafMisses.Add(1)
-			le, pure = ep.prog.LookupKeyed(m, ep.state.At(now), ep.leaf.keyStage)
-			// The FIB cache-fill rule: memoize only outcomes that are a
-			// pure function of the cache key (walk purity) and whose
-			// action sets are stateless — a cached leaf then subsumes
-			// every decision reachable from its key, so no overlapping
-			// higher-priority outcome can be hidden (DESIGN.md §16).
-			if pure && (le == nil || leafAdmissible(le)) {
-				if le == nil {
-					sh.leaf.fill(&scr.key, ep.gen, nil)
-				} else {
-					sh.leaf.fill(&scr.key, ep.gen, le.Actions.Ports)
-				}
-				st.leafFills.Add(1)
-			}
-		} else {
-			le = ep.prog.Lookup(m, ep.state.At(now))
-		}
-		if le == nil {
-			continue
-		}
-		// State updates fire for every message whose stateless context
-		// matched, before forwarding semantics are applied.
-		for _, key := range le.Updates {
-			ep.state.Update(key, m, now)
-			st.stateUpdates.Add(1)
-		}
-		if le.Actions.IsEmpty() {
-			continue
-		}
-		st.matched.Add(1)
-		for _, port := range le.Actions.Ports {
-			// The cached stream decision keeps the full port set;
-			// ingress suppression re-applies per continuation packet.
-			if pkt.Flow != 0 {
-				flowPorts.Add(subscription.FwdAction(port))
-			}
-			if s.cfg.DropOnIngressPort && port == pkt.In {
-				continue
-			}
-			scr.add(port, m)
-		}
-		for _, act := range le.Actions.Custom {
-			customs = append(customs, customHit{act: act, m: m})
-		}
-	}
-
-	// Stream subscriptions: the header-bearing packet installs the
-	// stream's merged port decision for its continuations (§VII-B),
-	// tagged with the epoch it was compiled under.
-	if pkt.Flow != 0 {
-		if !locked {
-			sh.mu.Lock()
-		}
-		sh.flows.install(pkt.Flow, flowPorts, now, ep.gen)
-		if !locked {
-			sh.mu.Unlock()
-		}
-	}
-
-	// Crossbar + egress: one pruned replica per port, deterministic
-	// port order. The returned deliveries are heap-fresh (callers —
-	// netsim in particular — retain them past this call); only the
-	// bucket scratch is reused.
-	scr.sort()
-	total := 0
-	for i := 0; i < scr.n; i++ {
-		total += len(scr.buckets[i].msgs)
-	}
-	out := make([]Delivery, 0, scr.n)
-	if scr.n > 0 {
-		flat := make([]*spec.Message, 0, total)
-		for i := 0; i < scr.n; i++ {
-			b := &scr.buckets[i]
-			start := len(flat)
-			flat = append(flat, b.msgs...)
-			out = append(out, Delivery{Port: b.port, Msgs: flat[start:len(flat):len(flat)], Latency: latency})
-			// Pruned replica bytes scale with the surviving message share.
-			if len(pkt.Msgs) > 0 {
-				st.bytesOut.Add(int64(pkt.Bytes * len(b.msgs) / len(pkt.Msgs)))
-			}
-		}
-	}
-	if locked {
-		sh.mu.Unlock()
-	}
-	// Custom actions run outside the shard lock: handlers are user code
-	// and may re-enter the switch.
-	for _, ch := range customs {
-		if fn, ok := s.customs[ch.act.Name]; ok {
-			out = append(out, fn(ch.act, ch.m, pkt)...)
-		}
-	}
-	st.deliveries.Add(int64(len(out)))
-	return out
-}
-
-// customHit defers a matched custom action until the shard lock is
-// released.
-type customHit struct {
-	act subscription.Action
-	m   *spec.Message
+	var out [1][]Delivery
+	s.runShard(s.shards[s.shardIndex(pkt.Flow)], []*Packet{pkt}, nil, out[:], now, true)
+	return out[0]
 }
 
 // EvalMessage evaluates a single message (diagnostics / examples).
